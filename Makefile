@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover fuzz bench bench-json sabre-bench vidpipe-smoke fleet-smoke experiments demo clean
+.PHONY: all build vet test race cover fuzz bench bench-json bench-e2e sabre-bench vidpipe-smoke fleet-smoke experiments demo clean
 
 # Statement-coverage floor for the estimation-critical packages (the
 # fusion core, the fault supervisor, the Kalman engine). All three sit
@@ -87,12 +87,25 @@ bench-json:
 
 # Sabre engine comparison only: the three execution engines on the
 # softfloat Kalman and fixed-point boresight workloads (ns/emulated
-# instr, allocation contract) plus the one-time translation and
-# predecode costs. Quick iteration loop for interpreter work; the full
+# instr, allocation contract), the one-time translation and predecode
+# costs, and the runtime region generator on the same two programs with
+# no generated kernel bound (µs/update beside the fused engine, same
+# session). Quick iteration loop for interpreter work; the full
 # archive/regression pass is bench-json.
 sabre-bench:
 	$(GO) test -run '^$$' -bench 'SabreSoftFloatKalman|SabreFxBoresight' -benchmem -bench-dur 10 .
 	$(GO) test -run '^$$' -bench 'Compile|Predecode' -benchmem ./internal/sabre/
+	$(GO) test -run '^$$' -bench 'RuntimeTier' -benchmem -count 3 ./internal/sabre/
+
+# The end-to-end benchmark declared in BENCHMARK.json: one run of every
+# workload (see perfbench/README.md). BENCH_SEED and BENCH_SECONDS set the
+# defaults; each run prints its JSON result as the last line.
+BENCH_SEED ?= 1
+BENCH_SECONDS ?= 25
+bench-e2e:
+	for w in serve-short serve-drive fusion-linked fpga; do \
+		bash perfbench/run.sh --workload $$w --seed $(BENCH_SEED) --seconds $(BENCH_SECONDS) --trace 0 || exit 1; \
+	done
 
 # End-to-end video-path smoke run: render, distort, correct on the
 # clocked pipeline, and checksum the corrected frame against the

@@ -9,7 +9,7 @@
 //	boresight [-mode static|dynamic] [-roll 2] [-pitch -3] [-yaw 1]
 //	          [-dur 300] [-seed 1] [-links] [-adaptive] [-adaptiver]
 //	          [-selfcal] [-reconfig] [-driftat 0] [-driftfactor 0]
-//	          [-focal 400] [-ber 0] [-linebreak 0] [-engine ref|fast|compiled]
+//	          [-focal 400] [-ber 0] [-linebreak 0] [-engine compiled|ref|fast]
 //
 // After the estimation report it replays the paper's "Kalman on Sabre"
 // headline: the scalar SoftFloat Kalman filter on the emulated core,
@@ -46,7 +46,7 @@ func main() {
 	driftFactor := flag.Float64("driftfactor", 0, "noise multiplier applied at -driftat (0 = off)")
 	focal := flag.Float64("focal", 400, "camera focal length in pixels (for correction params)")
 	csvPath := flag.String("csv", "", "write the residual time series (t, rx, 3σx, ry, 3σy) to this file")
-	engName := flag.String("engine", "fast", "Sabre execution engine for the on-core Kalman check: ref, fast or compiled")
+	engName := flag.String("engine", "compiled", "Sabre execution engine for the on-core Kalman check: compiled, ref or fast")
 	flag.Parse()
 
 	eng, err := sabre.ParseEngine(*engName)

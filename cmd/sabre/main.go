@@ -63,7 +63,7 @@ func usage() {
 // engineFlag registers the common -engine flag; parse the FlagSet, then
 // call the returned function for the selected engine.
 func engineFlag(fs *flag.FlagSet) func() (sabre.Engine, error) {
-	name := fs.String("engine", "fast", "execution engine: ref (decode per step), fast (predecoded+fused) or compiled (block translation)")
+	name := fs.String("engine", "compiled", "execution engine: compiled (block translation), ref (decode per step) or fast (predecoded+fused)")
 	return func() (sabre.Engine, error) { return sabre.ParseEngine(*name) }
 }
 

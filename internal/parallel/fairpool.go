@@ -2,12 +2,18 @@ package parallel
 
 import "sync"
 
-// FairPool is the tenant-aware counterpart of Pool: the same fixed
-// worker set and bounded admission, but the single FIFO queue is
-// replaced by per-tenant queues drained deficit-round-robin. With one
-// FIFO, a tenant that lands a 100k-job batch puts every later arrival
-// behind all 100k; with DRR, each tenant with pending work gets at
-// most `quantum` jobs of service per scheduler turn, so a small
+// FairPool is the long-running counterpart of For: a fixed set of
+// workers serving an unbounded stream of work items through bounded,
+// tenant-aware admission. For owns a batch whose size is known up
+// front; a serving process (the fleet simulation service) accepts work
+// forever and needs the queue bound to be an explicit admission-control
+// surface — a full queue is how overload becomes visible instead of
+// becoming latency.
+//
+// Pending jobs wait in per-tenant queues drained deficit-round-robin.
+// With one FIFO, a tenant that lands a 100k-job batch puts every later
+// arrival behind all 100k; with DRR, each tenant with pending work gets
+// at most `quantum` jobs of service per scheduler turn, so a small
 // tenant's wait is bounded by (active tenants × quantum × job cost /
 // workers) — a constant of the configuration, not of the biggest
 // resident batch. Jobs are unit-cost here (one scenario each), so the
@@ -19,7 +25,7 @@ import "sync"
 // Two admission bounds apply, both explicit overload surfaces:
 //
 //   - depth bounds the total queued jobs across all tenants (the
-//     global memory bound, as in Pool);
+//     global memory bound);
 //   - tenantCap (0 = unlimited) bounds one tenant's *outstanding*
 //     jobs — queued plus running — so a single tenant cannot own the
 //     whole queue even when it is otherwise idle.
@@ -27,9 +33,17 @@ import "sync"
 // TrySubmit sheds on either bound (reporting which); Submit blocks on
 // either bound — backpressure for callers that must not shed.
 //
-// The determinism contract is Pool's, unchanged: a job reads only its
-// own inputs and writes only its own storage, so scheduling order —
-// which DRR changes relative to FIFO — cannot change any job's bytes.
+// The determinism contract is For's, sharpened for worker identity: a
+// job must read only its own inputs and write only its own storage,
+// and the worker index passed to serve may address only per-worker
+// *scratch* (a reusable runner, an arena) whose contents never
+// influence a job's output. Under that contract every interleaving —
+// and DRR's order, which differs from FIFO's — produces byte-identical
+// per-job results, which the fleet replay tests assert at several
+// worker counts.
+//
+// Jobs are typed, not closures, so a pooled job object submitted by a
+// zero-allocation serving path stays zero-allocation end to end.
 type FairPool[J any] struct {
 	mu    sync.Mutex
 	work  sync.Cond // workers wait here while queued == 0
@@ -92,7 +106,9 @@ const fairIdleMax = 1024
 // (minimum 1) bounds total queued jobs; quantum (minimum 1) is the DRR
 // turn size in jobs; tenantCap (0 = unlimited) bounds one tenant's
 // outstanding jobs. serve runs as serve(worker, job), worker in
-// [0, Workers()); as in Pool, panics are not recovered.
+// [0, Workers()); it must not panic — a serving worker that dies
+// silently would strand every queued job, so panics are intentionally
+// not recovered and crash loudly.
 func NewFairPool[J any](workers, depth, quantum, tenantCap int, serve func(worker int, job J)) *FairPool[J] {
 	if depth < 1 {
 		depth = 1
@@ -213,7 +229,8 @@ func (p *FairPool[J]) enqueueLocked(q *fairQueue[J], job J) {
 
 // TrySubmit enqueues without blocking. ok=false means the job was
 // refused; tenantCapped then distinguishes the per-tenant cap from the
-// global queue bound. Submitting after Close panics, matching Pool.
+// global queue bound. Submitting after Close panics: the serving layer
+// must stop admitting before it drains.
 func (p *FairPool[J]) TrySubmit(tenant uint32, job J) (ok, tenantCapped bool) {
 	p.mu.Lock()
 	if p.closed {

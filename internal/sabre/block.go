@@ -55,6 +55,11 @@ func termWorst(op uint8) uint32 {
 	return 0 // xopIllegal, termNone
 }
 
+// isBranchOp reports whether a plain record is a conditional branch.
+func isBranchOp(op uint8) bool {
+	return op >= uint8(OpBEQ) && op <= uint8(OpBGEU)
+}
+
 // isTermOp reports whether a plain record ends a basic block.
 func isTermOp(op uint8) bool {
 	switch op {
@@ -159,7 +164,7 @@ const (
 	blockGeneric = iota // per-block reference interpretation
 	blockRegion         // generated region kernel (kernels_gen.go)
 	blockHand           // hand-written kernel (kernels.go)
-	blockRuntime        // runtime-generated block closure (regiongen.go)
+	blockRuntime        // runtime-formed region (regiongen.go)
 	numBlockKinds
 )
 

@@ -19,31 +19,44 @@ package sabre
 //     resumed run can stop anywhere) simply miss and take the generic
 //     path; correctness never depends on a kernel binding.
 //
-//  2. Runtime block. Anything unrecognised gets a closure synthesised
-//     by the runtime region generator (regiongen.go): the block's
-//     records are predecoded once at translation time and executed
-//     with compiled-tier conventions — counters in locals, no per-
-//     instruction budget checks, and recognised SoftFloat call targets
-//     lowered to the native intrinsic mirrors — so runtime-assembled
-//     programs reach kernel-class dispatch instead of the per-block
-//     generic interpreter. The generic closure (runcompiled.go)
-//     remains as the defensive rebind path.
+//  2. Runtime region. Anything unrecognised becomes the entry of a
+//     region the runtime region generator (regiongen.go) forms: every
+//     block reachable from it, translated once into records run by one
+//     call-free loop with compiled-tier conventions — counters in
+//     locals, hoisted budget checks, and recognised SoftFloat call
+//     targets lowered to the native intrinsic mirrors — bound at every
+//     head it covers, so runtime-assembled programs reach kernel-class
+//     dispatch instead of the per-block generic interpreter. The
+//     generic closure (runcompiled.go) remains as the defensive rebind
+//     path.
 
 // compileBlockAt translates the block entered at pc and installs it in
 // the translation table, returning the installed slot.
 func (c *CPU) compileBlockAt(pc uint32) *compiledBlock {
 	bi := scanBlockWords(c.Prog, pc)
-	key := blockKeyWords(c.Prog, pc, &bi)
-	for _, k := range kernelIndex[key] {
+	if k, ok := c.kernelAt(pc, &bi); ok {
+		c.blocks[pc] = k
+	} else {
+		c.blocks[pc] = c.runtimeRegion(pc)
+	}
+	return &c.blocks[pc]
+}
+
+// kernelAt returns the generated or hand-written kernel binding for the
+// block bi scanned at pc, if the registry holds one whose full region
+// signature matches program memory.
+func (c *CPU) kernelAt(pc uint32, bi *blockInfo) (compiledBlock, bool) {
+	if c.noKernels {
+		return compiledBlock{}, false
+	}
+	for _, k := range kernelIndex[blockKeyWords(c.Prog, pc, bi)] {
 		if k.backOff > pc {
 			continue
 		}
 		base := pc - k.backOff
 		if matchSigWords(c.Prog, base, k.sig) {
-			c.blocks[pc] = compiledBlock{fn: k.bind(base), worst: k.worst, kind: k.kind}
-			return &c.blocks[pc]
+			return compiledBlock{fn: k.bind(base), worst: k.worst, kind: k.kind}, true
 		}
 	}
-	c.blocks[pc] = c.runtimeBlock(&bi)
-	return &c.blocks[pc]
+	return compiledBlock{}, false
 }

@@ -69,8 +69,9 @@ type CPU struct {
 	Halted  bool
 
 	// Engine selects the execution engine used by Run. The zero value
-	// is EngineFast (predecoded + fused); EngineRef forces the
-	// reference fetch-decode-execute loop.
+	// is EngineCompiled (block translation); EngineRef forces the
+	// reference fetch-decode-execute loop and EngineFast the fused
+	// interpreter.
 	Engine Engine
 
 	// FaultAddr holds the data address of the most recent bus fault
@@ -95,6 +96,11 @@ type CPU struct {
 	blocks      []compiledBlock
 	blocksValid bool
 	cstats      *CompiledStats
+	// noKernels makes the translator skip the kernel registry so every
+	// block goes through the runtime region generator — the in-package
+	// tests and benchmarks of that tier run the bundled programs this
+	// way.
+	noKernels bool
 	// sfArith/sfCmp are the word offsets of the canonical SoftFloat
 	// blobs in the loaded program (-1 when absent). The runtime region
 	// generator (regiongen.go) uses them to lower recognised JAL call
@@ -362,15 +368,15 @@ func b2u(b bool) uint32 {
 
 // Run executes until HALT or until maxCycles elapse, returning the
 // cycles consumed. Reaching the limit returns ErrCycleLimit. The
-// execution engine is selected by c.Engine (fast by default).
+// execution engine is selected by c.Engine (compiled by default).
 func (c *CPU) Run(maxCycles uint64) (uint64, error) {
 	switch c.Engine {
 	case EngineRef:
 		return c.RunRef(maxCycles)
-	case EngineCompiled:
-		return c.RunCompiled(maxCycles)
+	case EngineFast:
+		return c.RunFast(maxCycles)
 	}
-	return c.RunFast(maxCycles)
+	return c.RunCompiled(maxCycles)
 }
 
 // RunRef is the reference engine: one Step() per instruction, fetching

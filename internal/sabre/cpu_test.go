@@ -1,27 +1,40 @@
 package sabre
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
 )
 
-// run assembles, loads and runs a program to completion, returning the
-// CPU for inspection.
+// run assembles, loads and runs a program to completion on the default
+// engine, returning the CPU for inspection. The same program also runs
+// on the fused engine, which must end in the identical state.
 func run(t *testing.T, src string) *CPU {
 	t.Helper()
 	p, err := Assemble(src)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	c := New()
-	if err := c.LoadProgram(p.Words); err != nil {
-		t.Fatal(err)
+	var cpus [2]*CPU
+	for i, eng := range []Engine{EngineCompiled, EngineFast} {
+		c := New()
+		c.Engine = eng
+		if err := c.LoadProgram(p.Words); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run(1_000_000); err != nil {
+			t.Fatalf("run (%v): %v", eng, err)
+		}
+		cpus[i] = c
 	}
-	if _, err := c.Run(1_000_000); err != nil {
-		t.Fatalf("run: %v", err)
+	a, b := cpus[0], cpus[1]
+	if a.R != b.R || a.PC != b.PC || a.Cycles != b.Cycles || a.Instret != b.Instret ||
+		a.Halted != b.Halted || !bytes.Equal(a.Data, b.Data) {
+		t.Fatalf("compiled and fused engines disagree: regs %v / %v, cycles %d / %d",
+			a.R, b.R, a.Cycles, b.Cycles)
 	}
-	return c
+	return a
 }
 
 func TestALUBasics(t *testing.T) {
@@ -337,47 +350,53 @@ func TestTakenBranchCostsExtra(t *testing.T) {
 }
 
 func TestFaults(t *testing.T) {
-	// Unaligned word access.
-	p := MustAssemble(`
-		li r1, 2
-		lw r2, 0(r1)
-		halt
-	`)
-	c := New()
-	c.LoadProgram(p.Words)
-	if _, err := c.Run(100); !errors.Is(err, ErrUnalignedWord) {
-		t.Fatalf("err = %v", err)
-	}
-	// Unmapped peripheral.
-	p = MustAssemble(`
-		li r1, 0x20000
-		lw r2, 0(r1)
-		halt
-	`)
-	c = New()
-	c.LoadProgram(p.Words)
-	if _, err := c.Run(100); !errors.Is(err, ErrBusFault) {
-		t.Fatalf("err = %v", err)
-	}
-	// Cycle limit on an infinite loop.
-	p = MustAssemble(`
-	spin:	j spin
-	`)
-	c = New()
-	c.LoadProgram(p.Words)
-	if _, err := c.Run(1000); !errors.Is(err, ErrCycleLimit) {
-		t.Fatalf("err = %v", err)
-	}
-	// Running off the end of program memory.
-	c = New()
-	c.LoadProgram([]uint32{encR(OpADD, 1, 2, 3)})
-	// Walks through zeroed program memory (HALT encodes as op 0 ...
-	// opcode 0 is HALT, so it halts immediately after the add).
-	if _, err := c.Run(10); err != nil {
-		t.Fatalf("err = %v", err)
-	}
-	if !c.Halted {
-		t.Fatal("zero word did not halt")
+	for _, eng := range []Engine{EngineCompiled, EngineFast} {
+		// Unaligned word access.
+		p := MustAssemble(`
+			li r1, 2
+			lw r2, 0(r1)
+			halt
+		`)
+		c := New()
+		c.Engine = eng
+		c.LoadProgram(p.Words)
+		if _, err := c.Run(100); !errors.Is(err, ErrUnalignedWord) {
+			t.Fatalf("%v: err = %v", eng, err)
+		}
+		// Unmapped peripheral.
+		p = MustAssemble(`
+			li r1, 0x20000
+			lw r2, 0(r1)
+			halt
+		`)
+		c = New()
+		c.Engine = eng
+		c.LoadProgram(p.Words)
+		if _, err := c.Run(100); !errors.Is(err, ErrBusFault) {
+			t.Fatalf("%v: err = %v", eng, err)
+		}
+		// Cycle limit on an infinite loop.
+		p = MustAssemble(`
+		spin:	j spin
+		`)
+		c = New()
+		c.Engine = eng
+		c.LoadProgram(p.Words)
+		if _, err := c.Run(1000); !errors.Is(err, ErrCycleLimit) {
+			t.Fatalf("%v: err = %v", eng, err)
+		}
+		// Running off the end of program memory.
+		c = New()
+		c.Engine = eng
+		c.LoadProgram([]uint32{encR(OpADD, 1, 2, 3)})
+		// Walks through zeroed program memory (HALT encodes as op 0 ...
+		// opcode 0 is HALT, so it halts immediately after the add).
+		if _, err := c.Run(10); err != nil {
+			t.Fatalf("%v: err = %v", eng, err)
+		}
+		if !c.Halted {
+			t.Fatalf("%v: zero word did not halt", eng)
+		}
 	}
 }
 
@@ -575,10 +594,14 @@ func TestMapValidation(t *testing.T) {
 	c.Map(0x100, &LEDs{}) // inside data RAM
 }
 
-// TestRunAllocFree pins the interpreter's zero-allocation contract:
-// executing a healthy program — ALU ops, RAM loads/stores and
+// TestRunAllocFree pins the fused interpreter's zero-allocation
+// contract: executing a healthy program — ALU ops, RAM loads/stores and
 // peripheral bus accesses through the dense dispatch table — must not
 // touch the heap, so emulated cycle costs are not distorted by GC work.
+// Its predecode array survives LoadProgram, so even a reload per run
+// allocates nothing; the compiled engine translates once per load, and
+// is held to the same contract across Reset in
+// TestCompiledRunAllocFree.
 func TestRunAllocFree(t *testing.T) {
 	p := MustAssemble(`
 		li   r1, 0
@@ -595,6 +618,7 @@ func TestRunAllocFree(t *testing.T) {
 		halt
 	`)
 	c := New()
+	c.Engine = EngineFast
 	c.Map(LEDSBase, &LEDs{})
 	c.Map(CounterBase, &Counter{CPU: c})
 	allocs := testing.AllocsPerRun(10, func() {
@@ -613,7 +637,47 @@ func TestRunAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkCPUPeripheralLoop exercises the bus dispatch path: every
+// TestCompiledRunAllocFree is TestRunAllocFree for the default
+// (compiled) engine: once the program is translated, re-running it from
+// Reset — the steady state of a core re-triggered per sensor epoch —
+// must not touch the heap.
+func TestCompiledRunAllocFree(t *testing.T) {
+	p := MustAssemble(`
+		li   r1, 0
+		li   r2, 500
+		li   r3, 0x00010000   ; LED bank
+		li   r4, 0x00010700   ; cycle counter
+	loop:
+		addi r1, r1, 1
+		sw   r1, 0(r3)        ; peripheral write
+		lw   r5, 0(r4)        ; peripheral read
+		sw   r1, 100(r0)      ; data RAM store
+		lw   r6, 100(r0)      ; data RAM load
+		blt  r1, r2, loop
+		halt
+	`)
+	c := New()
+	c.Map(LEDSBase, &LEDs{})
+	c.Map(CounterBase, &Counter{CPU: c})
+	if err := c.LoadProgram(p.Words); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		c.Reset()
+		if _, err := c.Run(1 << 30); err != nil {
+			panic(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Run: %v allocs/run, want 0", allocs)
+	}
+	if c.R[1] != 500 {
+		t.Fatalf("loop counter = %d, want 500", c.R[1])
+	}
+}
+
+// BenchmarkCPUPeripheralLoop exercises the fused engine's bus dispatch
+// path: every
 // iteration performs a peripheral write and read alongside the ALU
 // work, measuring the dense-table decode against the instruction
 // baseline of BenchmarkCPULoop.
@@ -631,6 +695,7 @@ func BenchmarkCPUPeripheralLoop(b *testing.B) {
 		halt
 	`)
 	c := New()
+	c.Engine = EngineFast
 	c.Map(LEDSBase, &LEDs{})
 	c.Map(CounterBase, &Counter{CPU: c})
 	b.ReportAllocs()
@@ -652,6 +717,7 @@ func BenchmarkCPULoop(b *testing.B) {
 		halt
 	`)
 	c := New()
+	c.Engine = EngineFast
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.LoadProgram(p.Words)

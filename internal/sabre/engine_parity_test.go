@@ -18,16 +18,32 @@ import (
 // architectural behaviour against the reference Step() loop: registers,
 // data memory, peripheral side effects in order, cycle and
 // retired-instruction counts, PC, and fault/halt outcomes. These tests
-// run the same program on all three engines and compare everything
+// run the same program on all three engines — and on the compiled
+// engine's runtime region tier alone — and compare everything
 // observable.
+
+// engineRuntime is a test-only engine value: the compiled engine with
+// the kernel registry bypassed, so the runtime region generator
+// translates every block — bundled programs included.
+const engineRuntime = Engine(0xFF)
 
 // nonRefEngines are the engines held to parity with EngineRef. The
 // -engine flag narrows the suite to a single engine under test — CI's
 // sabre-native-parity step runs the whole differential suite with
 // -engine=compiled under the race detector.
-var nonRefEngines = []Engine{EngineFast, EngineCompiled}
+var nonRefEngines = []Engine{EngineFast, EngineCompiled, engineRuntime}
 
-var engineFlag = flag.String("engine", "", `restrict the parity suite to one engine ("fast" or "compiled")`)
+var engineFlag = flag.String("engine", "", `restrict the parity suite to one engine ("fast", "compiled" or "runtime")`)
+
+// setEngine selects eng on c, mapping engineRuntime to the compiled
+// engine without kernels.
+func setEngine(c *CPU, eng Engine) {
+	c.Engine = eng
+	if eng == engineRuntime {
+		c.Engine = EngineCompiled
+		c.noKernels = true
+	}
+}
 
 func TestMain(m *testing.M) {
 	flag.Parse()
@@ -37,6 +53,8 @@ func TestMain(m *testing.M) {
 		nonRefEngines = []Engine{EngineFast}
 	case "compiled":
 		nonRefEngines = []Engine{EngineCompiled}
+	case "runtime":
+		nonRefEngines = []Engine{engineRuntime}
 	default:
 		fmt.Fprintf(os.Stderr, "unknown -engine %q\n", *engineFlag)
 		os.Exit(2)
@@ -88,7 +106,7 @@ type engineOutcome struct {
 // the outcome.
 func runOneEngine(eng Engine, words []uint32, maxCycles uint64, setup func(*CPU)) (*engineOutcome, error) {
 	c := New()
-	c.Engine = eng
+	setEngine(c, eng)
 	tp := &tracePeriph{}
 	c.Map(LEDSBase, tp)
 	c.Map(CounterBase, &Counter{CPU: c})
@@ -289,6 +307,78 @@ func TestEngineParityCycleLimit(t *testing.T) {
 	}
 }
 
+// TestEngineParityResumedRuns runs programs to completion as a chain
+// of short Run calls, each resuming wherever the last one's budget ran
+// out — mid-block, mid-fused-pair, inside a region or a lowered
+// SoftFloat call — and requires the final state to equal one
+// uninterrupted reference run. A compiled engine translates at every
+// resume pc it has not seen, so this holds its lazily bound regions and
+// kernels to the same exactness as a single run.
+func TestEngineParityResumedRuns(t *testing.T) {
+	kal, err := KalmanProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fxb, err := FxBoresightProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	alpha, err := Assemble(alphaFilterMain + Library())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fxIn := buildFxInputs(2, geom.EulerDeg(1, -2, 0.5), 3)
+	progs := []struct {
+		name  string
+		words []uint32
+		setup func(*CPU)
+	}{
+		{"isa", MustAssemble(isaExercise).Words, nil},
+		{"kalman", kal.Words, func(c *CPU) { SetKalmanInputs(c, 1e-4, 0.04, 1, 0, []float32{4.125, 3.9}) }},
+		{"boresight", fxb.Words, func(c *CPU) { LoadFxBoresightInputs(c, fxcore.DefaultConfig(), 0.01, fxIn) }},
+		{"alpha", alpha.Words, alphaFilterSetup([]float32{3, 3.5, 2.75})},
+	}
+	for _, p := range progs {
+		ref, err := runOneEngine(EngineRef, p.words, 1_000_000, p.setup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ref.halted {
+			t.Fatalf("%s: reference run did not halt: %q", p.name, ref.errStr)
+		}
+		for _, eng := range nonRefEngines {
+			for _, chunk := range []uint64{7, 97, 1009} {
+				c := New()
+				setEngine(c, eng)
+				c.Map(LEDSBase, &tracePeriph{})
+				c.Map(CounterBase, &Counter{CPU: c})
+				if err := c.LoadProgram(p.words); err != nil {
+					t.Fatal(err)
+				}
+				if p.setup != nil {
+					p.setup(c)
+				}
+				for calls := 0; !c.Halted; calls++ {
+					if _, err := c.Run(chunk); err != nil && !errors.Is(err, ErrCycleLimit) {
+						t.Fatalf("%s, engine %v, chunk %d: %v", p.name, eng, chunk, err)
+					}
+					if calls > 1_000_000 {
+						t.Fatalf("%s, engine %v, chunk %d: no progress", p.name, eng, chunk)
+					}
+				}
+				got := &engineOutcome{
+					ran: ref.ran, pc: c.PC, regs: c.R, cycles: c.Cycles, instret: c.Instret,
+					halted: c.Halted, fault: c.FaultAddr, data: append([]byte(nil), c.Data...),
+				}
+				if d := diffOutcomes(&engineOutcome{pc: ref.pc, ran: ref.ran, regs: ref.regs, cycles: ref.cycles,
+					instret: ref.instret, halted: ref.halted, fault: ref.fault, data: ref.data}, got); d != "" {
+					t.Fatalf("%s, engine %v, chunk %d: %s", p.name, eng, chunk, d)
+				}
+			}
+		}
+	}
+}
+
 // TestEngineParityBranchIntoFusedPair jumps into the middle of fusable
 // pairs: the second component must still execute as a plain
 // instruction, and the same pair must execute fused when entered from
@@ -480,6 +570,9 @@ func TestEngineParitySoftFloatKalman(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, eng := range nonRefEngines {
+		if eng == engineRuntime {
+			continue // the runners take public engines only
+		}
 		fast, err := RunKalmanEngine(eng, 1e-4, 0.04, 1, 0, z)
 		if err != nil {
 			t.Fatal(err)
@@ -508,11 +601,26 @@ func TestEngineParityFxBoresight(t *testing.T) {
 			AX: 0.31, AY: -0.18,
 		}
 	}
+	prog, err := FxBoresightProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := requireParity(t, prog.Words, FxBoresightRunBudget(len(inputs)), func(c *CPU) {
+		LoadFxBoresightInputs(c, cfg, 0.02, inputs)
+	})
+	if !out.halted {
+		t.Fatalf("boresight program did not halt: %q", out.errStr)
+	}
+
+	// The high-level runners must agree too.
 	ref, err := RunFxBoresightEngine(EngineRef, cfg, 0.02, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, eng := range nonRefEngines {
+		if eng == engineRuntime {
+			continue // the runners take public engines only
+		}
 		fast, err := RunFxBoresightEngine(eng, cfg, 0.02, inputs)
 		if err != nil {
 			t.Fatal(err)
@@ -531,13 +639,14 @@ func TestEngineParityFxBoresight(t *testing.T) {
 // TestEngineParityControl runs the never-halting UART parsing program
 // to its cycle budget on both engines with identical serial input.
 func TestEngineParityControl(t *testing.T) {
-	outs := make([]*engineOutcome, 3)
-	for i, eng := range []Engine{EngineRef, EngineFast, EngineCompiled} {
+	engines := []Engine{EngineRef, EngineFast, EngineCompiled, engineRuntime}
+	outs := make([]*engineOutcome, len(engines))
+	for i, eng := range engines {
 		c, dmu, acc, _, leds, err := ControlCPU()
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Engine = eng
+		setEngine(c, eng)
 		payload := []byte{0x12, 0x34, 0x0B, 0xCD, 0x10, 0x00}
 		var sum byte
 		for _, b := range payload {

@@ -2,6 +2,7 @@ package sabre
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"boresight/internal/fxcore"
@@ -606,11 +607,16 @@ func LoadFxBoresightInputs(c *CPU, cfg fxcore.Config, dt float64, inputs []FxBor
 // FxBoresightRunBudget is the cycle budget one run over n epochs gets.
 func FxBoresightRunBudget(n int) uint64 { return uint64(n)*60000 + 10000 }
 
+// fxBoresightProgram assembles the boresight program once per process
+// for the runners; LoadProgram copies the words, so every CPU shares it.
+var fxBoresightProgram = sync.OnceValues(FxBoresightProgram)
+
 // RunFxBoresight executes the full fixed-point boresight filter on the
-// emulated core with the default (fast) engine. cfg supplies the noise
-// parameters (the same ones fxcore.New takes); dt is the epoch period.
+// emulated core with the default (compiled) engine. cfg supplies the
+// noise parameters (the same ones fxcore.New takes); dt is the epoch
+// period.
 func RunFxBoresight(cfg fxcore.Config, dt float64, inputs []FxBoresightInput) (*FxBoresightResult, error) {
-	return RunFxBoresightEngine(EngineFast, cfg, dt, inputs)
+	return RunFxBoresightEngine(EngineCompiled, cfg, dt, inputs)
 }
 
 // RunFxBoresightEngine is RunFxBoresight on an explicitly selected
@@ -622,7 +628,7 @@ func RunFxBoresightEngine(engine Engine, cfg fxcore.Config, dt float64, inputs [
 	if cfg.MeasNoise <= 0 || cfg.InitAngleSigma <= 0 || dt <= 0 {
 		return nil, fmt.Errorf("sabre: invalid fx boresight parameters")
 	}
-	prog, err := FxBoresightProgram()
+	prog, err := fxBoresightProgram()
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package sabre
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // The fixed-point counterpart of the SoftFloat Kalman program: the same
@@ -103,6 +104,9 @@ type FxKalmanResult struct {
 // q16 converts a float to Q16.16.
 func q16(f float64) int32 { return int32(math.Round(f * 65536)) }
 
+// fxKalmanProgram assembles the Q16.16 Kalman program once per process.
+var fxKalmanProgram = sync.OnceValues(func() (*Program, error) { return Assemble(fxKalmanMain) })
+
 // RunFxKalman executes the Q16.16 scalar Kalman program on the core.
 // All parameters are floats for convenience and quantised at the
 // boundary.
@@ -110,7 +114,7 @@ func RunFxKalman(q, r, p0, x0 float64, z []float64) (*FxKalmanResult, error) {
 	if len(z) > (fxkXOut-fxkZIn)/4 {
 		return nil, fmt.Errorf("sabre: %d measurements exceed the data store", len(z))
 	}
-	prog, err := Assemble(fxKalmanMain)
+	prog, err := fxKalmanProgram()
 	if err != nil {
 		return nil, err
 	}

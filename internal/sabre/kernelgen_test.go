@@ -104,18 +104,11 @@ func kernelGenUnits(t testing.TB) []genUnit {
 	add("fxkalman", p, err, true)
 	p, err = ControlProgram()
 	add("control", p, err, false)
-	for _, r := range []string{
-		"f32_add", "f32_sub", "f32_mul", "f32_div", "f32_sqrt", "f32_neg",
-		"f32_from_i32", "f32_to_i32", "f32_cmp_eq", "f32_cmp_lt", "f32_cmp_le",
-	} {
+	for _, r := range batchRoutines {
 		p, err = BatchProgram(r)
 		add("batch/"+r, p, err, false)
 	}
 	return units
-}
-
-func isBranchOp(op uint8) bool {
-	return op >= uint8(OpBEQ) && op <= uint8(OpBGEU)
 }
 
 // unitRegion is one region of one unit before cross-unit merging.

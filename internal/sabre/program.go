@@ -3,6 +3,7 @@ package sabre
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 )
 
@@ -111,10 +112,14 @@ func SetKalmanInputs(c *CPU, q, r, p0, x0 float32, z []float32) {
 // measurements.
 func KalmanRunBudget(n int) uint64 { return uint64(n)*20000 + 10000 }
 
+// kalmanProgram assembles the Kalman program once per process for the
+// runners; LoadProgram copies the words, so every CPU shares it.
+var kalmanProgram = sync.OnceValues(KalmanProgram)
+
 // RunKalman executes the scalar Kalman program on the emulated core
-// with the default (fast) engine.
+// with the default (compiled) engine.
 func RunKalman(q, r, p0, x0 float32, z []float32) (*KalmanResult, error) {
-	return RunKalmanEngine(EngineFast, q, r, p0, x0, z)
+	return RunKalmanEngine(EngineCompiled, q, r, p0, x0, z)
 }
 
 // RunKalmanEngine is RunKalman on an explicitly selected engine.
@@ -122,7 +127,7 @@ func RunKalmanEngine(engine Engine, q, r, p0, x0 float32, z []float32) (*KalmanR
 	if len(z) > (kalXOut-kalZIn)/4 {
 		return nil, fmt.Errorf("sabre: %d measurements exceed the data store", len(z))
 	}
-	prog, err := KalmanProgram()
+	prog, err := kalmanProgram()
 	if err != nil {
 		return nil, err
 	}

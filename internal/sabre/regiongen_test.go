@@ -3,6 +3,9 @@ package sabre
 import (
 	"math"
 	"testing"
+
+	"boresight/internal/fxcore"
+	"boresight/internal/geom"
 )
 
 // alphaFilterMain is a runtime-assembled SoftFloat program that exists
@@ -114,4 +117,74 @@ func TestRuntimeRegionGenerator(t *testing.T) {
 	t.Logf("dispatch coverage %d/%d (runtime %d, region %d, generic %d), %d intrinsic calls",
 		kernel, total, st.Dispatches[blockRuntime], st.Dispatches[blockRegion],
 		st.Dispatches[blockGeneric], st.IntrinsicCalls)
+}
+
+// benchRuntimeTier times one bundled program on a reusable core, once
+// with the kernel registry bypassed (every block translated by the
+// runtime region generator) and once on the fused engine, and reports
+// µs per update so the two tiers compare directly within one session.
+func benchRuntimeTier(b *testing.B, words []uint32, n int, budget uint64, setup func(*CPU)) {
+	for _, tc := range []struct {
+		name      string
+		eng       Engine
+		noKernels bool
+	}{
+		{"runtime", EngineCompiled, true},
+		{"fast", EngineFast, false},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			c := New()
+			c.Engine = tc.eng
+			c.noKernels = tc.noKernels
+			if err := c.LoadProgram(words); err != nil {
+				b.Fatal(err)
+			}
+			run := func() {
+				setup(c)
+				c.Reset()
+				if _, err := c.Run(budget); err != nil {
+					b.Fatal(err)
+				}
+			}
+			run() // warm-up: translation / predecode
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			b.StopTimer()
+			b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(b.N)/float64(n), "us/update")
+		})
+	}
+}
+
+// BenchmarkRuntimeTierBoresight runs the fixed-point boresight filter
+// through the runtime region generator with no generated kernel bound,
+// beside the fused engine.
+func BenchmarkRuntimeTierBoresight(b *testing.B) {
+	prog, err := FxBoresightProgram()
+	if err != nil {
+		b.Fatal(err)
+	}
+	inputs := buildFxInputs(20, geom.EulerDeg(1, 1, 1), 4)
+	cfg := fxcore.DefaultConfig()
+	benchRuntimeTier(b, prog.Words, len(inputs), FxBoresightRunBudget(len(inputs)), func(c *CPU) {
+		LoadFxBoresightInputs(c, cfg, 0.01, inputs)
+	})
+}
+
+// BenchmarkRuntimeTierKalman is BenchmarkRuntimeTierBoresight for the
+// SoftFloat Kalman program.
+func BenchmarkRuntimeTierKalman(b *testing.B) {
+	prog, err := KalmanProgram()
+	if err != nil {
+		b.Fatal(err)
+	}
+	z := make([]float32, 100)
+	for i := range z {
+		z[i] = 3.25 + float32((i*2654435761)%1000-500)/2000
+	}
+	benchRuntimeTier(b, prog.Words, len(z), KalmanRunBudget(len(z)), func(c *CPU) {
+		SetKalmanInputs(c, 1e-6, 0.25, 100, 0, z)
+	})
 }

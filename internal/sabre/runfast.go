@@ -40,41 +40,42 @@ import (
 type Engine uint8
 
 const (
-	// EngineFast is the predecoded, superinstruction-fused engine —
-	// the default.
-	EngineFast Engine = iota
+	// EngineCompiled is the basic-block translation engine — the
+	// default: blocks are lazily compiled to Go closures and dispatched
+	// through a per-pc table (runcompiled.go).
+	EngineCompiled Engine = iota
 	// EngineRef is the reference fetch-decode-execute interpreter,
 	// one Step() per instruction.
 	EngineRef
-	// EngineCompiled is the basic-block translation engine: blocks are
-	// lazily compiled to Go closures and dispatched through a per-pc
-	// table (runcompiled.go).
-	EngineCompiled
+	// EngineFast is the predecoded, superinstruction-fused interpreter.
+	EngineFast
 )
 
 // String returns the CLI name of the engine.
 func (e Engine) String() string {
 	switch e {
-	case EngineRef:
-		return "ref"
 	case EngineCompiled:
 		return "compiled"
+	case EngineRef:
+		return "ref"
+	case EngineFast:
+		return "fast"
 	}
-	return "fast"
+	return fmt.Sprintf("engine(%d)", uint8(e))
 }
 
-// ParseEngine converts a CLI flag value ("ref", "fast" or "compiled")
-// to an Engine.
+// ParseEngine converts a CLI flag value ("compiled", "ref" or "fast")
+// to an Engine. On error it returns the zero Engine — the default.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
+	case "compiled":
+		return EngineCompiled, nil
 	case "ref":
 		return EngineRef, nil
 	case "fast":
 		return EngineFast, nil
-	case "compiled":
-		return EngineCompiled, nil
 	}
-	return EngineFast, fmt.Errorf("sabre: unknown engine %q (want ref, fast or compiled)", s)
+	return 0, fmt.Errorf("sabre: unknown engine %q (want compiled, ref or fast)", s)
 }
 
 // flush writes the loop-local architectural counters back to the CPU

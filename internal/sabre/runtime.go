@@ -3,6 +3,7 @@ package sabre
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Library returns the complete SoftFloat assembly library source,
@@ -51,12 +52,30 @@ func BatchProgram(routine string) (*Program, error) {
 	return Assemble(src)
 }
 
+// batchRoutines are the library's public routines, each of which the
+// batch harness can drive.
+var batchRoutines = []string{
+	"f32_add", "f32_sub", "f32_mul", "f32_div", "f32_sqrt", "f32_neg",
+	"f32_from_i32", "f32_to_i32", "f32_cmp_eq", "f32_cmp_lt", "f32_cmp_le",
+}
+
+// batchPrograms assembles each public routine's batch program once per
+// process. The map is read-only after init; LoadProgram copies the
+// words, so every CPU can share one assembled program.
+var batchPrograms = func() map[string]func() (*Program, error) {
+	m := make(map[string]func() (*Program, error), len(batchRoutines))
+	for _, r := range batchRoutines {
+		m[r] = sync.OnceValues(func() (*Program, error) { return BatchProgram(r) })
+	}
+	return m
+}()
+
 // RunBatch executes the named routine over operand pairs on a fresh
-// CPU with the default (fast) engine, returning the results and the
-// mean cycles per operation (including the ~10-cycle driver-loop
+// CPU with the default (compiled) engine, returning the results and
+// the mean cycles per operation (including the ~10-cycle driver-loop
 // overhead).
 func RunBatch(routine string, pairs [][2]uint32) ([]uint32, float64, error) {
-	return RunBatchEngine(EngineFast, routine, pairs)
+	return RunBatchEngine(EngineCompiled, routine, pairs)
 }
 
 // RunBatchEngine is RunBatch on an explicitly selected engine.
@@ -64,7 +83,11 @@ func RunBatchEngine(engine Engine, routine string, pairs [][2]uint32) ([]uint32,
 	if len(pairs) > MaxBatch {
 		return nil, 0, fmt.Errorf("sabre: batch of %d exceeds %d", len(pairs), MaxBatch)
 	}
-	prog, err := BatchProgram(routine)
+	assemble, ok := batchPrograms[routine]
+	if !ok {
+		assemble = func() (*Program, error) { return BatchProgram(routine) }
+	}
+	prog, err := assemble()
 	if err != nil {
 		return nil, 0, err
 	}
