@@ -83,6 +83,7 @@ bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem -count 3 ./internal/fault/ >> bench/raw.txt
 	$(GO) test -run '^$$' -bench BenchmarkAdaptive -benchmem -count 3 ./internal/core/ >> bench/raw.txt
 	$(GO) test -run '^$$' -bench BenchmarkFleet -benchmem -count 3 ./internal/fleet/ >> bench/raw.txt
+	$(GO) test -run '^$$' -bench . -benchmem -count 3 ./internal/fpgasys/ ./internal/hcsim/ >> bench/raw.txt
 	$(GO) run ./cmd/benchreport -emit bench -in bench/raw.txt
 
 # Sabre engine comparison only: the three execution engines on the

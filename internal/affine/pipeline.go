@@ -42,33 +42,42 @@ import (
 // mid-frame SetControl cannot tear a frame (it takes effect at the
 // next Start). The previous per-stage reads skewed tx/ty (read at S3)
 // against thetaIdx (read at S1) by two pixels on a mid-frame write.
+//
+// The pipeline's registers form one bank: q holds the values latched at
+// the last clock edge and d the values the next edge latches. Eval,
+// SetControl and Start read q and write d; one commit hook copies d to q
+// at the edge. A register nobody writes in a cycle holds its value
+// because d persists, and a control write landing after Eval in the same
+// cycle (SetControl, Start) wins, as in Handel-C.
 type Pipeline struct {
 	lut  *fixed.Trig
 	src  *rc200.SRAM
 	dst  *rc200.Display
 	w, h int
 
-	// Control registers (written by the processor side).
-	thetaIdx *hcsim.Reg[int]
-	tx, ty   *hcsim.Reg[int]
-
-	// S0 state: raster position of the next coordinate to issue.
-	pos     *hcsim.Reg[int]
-	running *hcsim.Reg[bool]
-
-	// Frame-latched control and the stepping accumulators.
-	frame *hcsim.Reg[frameCtl]
-	acc   *hcsim.Reg[stepAcc]
-
-	// S1 registers.
-	s1 *hcsim.Reg[s1Regs]
-	// S2 registers.
-	s2 *hcsim.Reg[s2Regs]
-	// S3 registers.
-	s3 *hcsim.Reg[s3Regs]
+	q, d pipeRegs
 
 	framesDone uint64
 	blackOut   uint64 // pixels whose source fell outside the frame
+}
+
+// pipeRegs is the pipeline's register bank.
+type pipeRegs struct {
+	// Control registers (written by the processor side).
+	thetaIdx, tx, ty int
+
+	// S0 state: raster position of the next coordinate to issue.
+	x, y    int
+	running bool
+
+	// Frame-latched control and the stepping accumulators.
+	frame frameCtl
+	acc   stepAcc
+
+	// Stage registers.
+	s1 s1Regs
+	s2 s2Regs
+	s3 s3Regs
 }
 
 // frameCtl is the control word latched once per frame at pixel 0: the
@@ -114,20 +123,9 @@ type s3Regs struct {
 
 // NewPipeline builds and registers the pipeline with the simulator.
 func NewPipeline(sim *hcsim.Sim, lut *fixed.Trig, src *rc200.SRAM, dst *rc200.Display, w, h int) *Pipeline {
-	p := &Pipeline{
-		lut: lut, src: src, dst: dst, w: w, h: h,
-		thetaIdx: hcsim.NewReg(sim, 0),
-		tx:       hcsim.NewReg(sim, 0),
-		ty:       hcsim.NewReg(sim, 0),
-		pos:      hcsim.NewReg(sim, 0),
-		running:  hcsim.NewReg(sim, false),
-		frame:    hcsim.NewReg(sim, frameCtl{}),
-		acc:      hcsim.NewReg(sim, stepAcc{}),
-		s1:       hcsim.NewReg(sim, s1Regs{}),
-		s2:       hcsim.NewReg(sim, s2Regs{}),
-		s3:       hcsim.NewReg(sim, s3Regs{}),
-	}
+	p := &Pipeline{lut: lut, src: src, dst: dst, w: w, h: h}
 	sim.Add(p)
+	hcsim.AddCommitHook(sim, func() { p.q = p.d })
 	return p
 }
 
@@ -139,9 +137,7 @@ func (p *Pipeline) SetSource(src *rc200.SRAM) { p.src = src }
 // of the rotation and the whole-pixel translation applied to the source
 // coordinate. Takes effect at the next clock edge, like a bus write.
 func (p *Pipeline) SetControl(thetaIdx, tx, ty int) {
-	p.thetaIdx.SetD(thetaIdx)
-	p.tx.SetD(tx)
-	p.ty.SetD(ty)
+	p.d.thetaIdx, p.d.tx, p.d.ty = thetaIdx, tx, ty
 }
 
 // ControlFromParams converts forward correction parameters to the
@@ -153,13 +149,12 @@ func ControlFromParams(lut *fixed.Trig, prm Params) (thetaIdx, tx, ty int) {
 
 // Start begins one frame (takes effect at the next clock edge).
 func (p *Pipeline) Start() {
-	p.pos.SetD(0)
-	p.running.SetD(true)
+	p.d.x, p.d.y, p.d.running = 0, 0, true
 }
 
 // Busy reports whether a frame is still flowing through the pipeline.
 func (p *Pipeline) Busy() bool {
-	return p.running.Q() || p.s1.Q().valid || p.s2.Q().valid || p.s3.Q().valid
+	return p.q.running || p.q.s1.valid || p.q.s2.valid || p.q.s3.valid
 }
 
 // FramesDone returns the number of completed output frames.
@@ -168,12 +163,19 @@ func (p *Pipeline) FramesDone() uint64 { return p.framesDone }
 // BlackPixels returns how many output pixels had out-of-range sources.
 func (p *Pipeline) BlackPixels() uint64 { return p.blackOut }
 
-// Eval advances every stage one clock.
+// Eval advances every stage one clock. Stage registers are written in
+// place; an invalid stage's other fields are stale and never read. A
+// drained pipeline has nothing to advance: every stage already holds a
+// bubble, so Eval returns at once.
 func (p *Pipeline) Eval() {
+	if !p.Busy() {
+		return
+	}
+	q, d := &p.q, &p.d
 	cx, cy := p.w/2, p.h/2
 
 	// S4: the SRAM data addressed by S3 last cycle is valid now.
-	if s3 := p.s3.Q(); s3.valid {
+	if s3 := &q.s3; s3.valid {
 		var pix video.Pixel
 		if s3.inRange {
 			pix = video.Pixel(p.src.Data())
@@ -189,84 +191,72 @@ func (p *Pipeline) Eval() {
 	// S3: sums, fixed→int, centre restore; issue the SRAM read. The
 	// translation comes from the stage registers (latched with the
 	// rotation at frame start), not from a live control read.
-	if s2 := p.s2.Q(); s2.valid {
+	d.s3.valid = q.s2.valid
+	if s2 := &q.s2; s2.valid {
 		sx := fixed.ToInt(fixed.AddSat(s2.t2, s2.t3), fixed.CoordFrac) + cx + s2.tx
 		sy := fixed.ToInt(fixed.AddSat(s2.t4, s2.t5), fixed.CoordFrac) + cy + s2.ty
 		inRange := sx >= 0 && sx < p.w && sy >= 0 && sy < p.h
 		if inRange {
 			p.src.RequestRead(sy*p.w + sx)
 		}
-		p.s3.SetD(s3Regs{valid: true, x: s2.x, y: s2.y, inRange: inRange})
-	} else {
-		p.s3.SetD(s3Regs{})
+		d.s3.x, d.s3.y, d.s3.inRange = s2.x, s2.y, inRange
 	}
 
 	// S2: renormalise the stepped products — the same rounding the four
 	// multiplies applied, so the coordinates are unchanged bit for bit.
-	if s1 := p.s1.Q(); s1.valid {
-		p.s2.SetD(s2Regs{
-			valid: true, x: s1.x, y: s1.y,
-			t2: fixed.RoundShift64(s1.p2, fixed.StepShift),
-			t3: fixed.RoundShift64(s1.p3, fixed.StepShift),
-			t4: fixed.RoundShift64(s1.p4, fixed.StepShift),
-			t5: fixed.RoundShift64(s1.p5, fixed.StepShift),
-			tx: s1.tx, ty: s1.ty,
-		})
-	} else {
-		p.s2.SetD(s2Regs{})
+	d.s2.valid = q.s1.valid
+	if s1 := &q.s1; s1.valid {
+		s2 := &d.s2
+		s2.x, s2.y = s1.x, s1.y
+		s2.t2 = fixed.RoundShift64(s1.p2, fixed.StepShift)
+		s2.t3 = fixed.RoundShift64(s1.p3, fixed.StepShift)
+		s2.t4 = fixed.RoundShift64(s1.p4, fixed.StepShift)
+		s2.t5 = fixed.RoundShift64(s1.p5, fixed.StepShift)
+		s2.tx, s2.ty = s1.tx, s1.ty
 	}
 
 	// S0+S1: raster generation and the stepping address generator. At
 	// pixel 0 the control word is latched frame-atomically and the
 	// accumulators are seeded from it; afterwards they advance by adds
 	// only (two per pixel, reload + two at a row wrap).
-	if p.running.Q() {
-		pos := p.pos.Q()
-		x, y := pos%p.w, pos/p.w
-		var fc frameCtl
-		var a stepAcc
-		if pos == 0 {
-			idx := p.thetaIdx.Q()
-			sin, cos := p.lut.SinIdx(idx), p.lut.CosIdx(idx)
-			fc = frameCtl{
-				sin: sin, cos: cos,
-				tx: p.tx.Q(), ty: p.ty.Q(),
-				rowP3: int64(-cx) * int64(cos),
-				rowP4: int64(-cx) * int64(sin),
-			}
-			a = stepAcc{
-				p3: fc.rowP3,
-				p4: fc.rowP4,
-				q2: int64(-cy) * int64(-sin),
-				q5: int64(-cy) * int64(cos),
-			}
-			p.frame.SetD(fc)
-		} else {
-			fc = p.frame.Q()
-			a = p.acc.Q()
-		}
-		p.s1.SetD(s1Regs{
-			valid: true, x: x, y: y,
-			p2: a.q2, p3: a.p3, p4: a.p4, p5: a.q5,
-			tx: fc.tx, ty: fc.ty,
-		})
-		next := a
-		if x+1 == p.w {
-			next.p3, next.p4 = fc.rowP3, fc.rowP4
-			next.q2 -= int64(fc.sin)
-			next.q5 += int64(fc.cos)
-		} else {
-			next.p3 += int64(fc.cos)
-			next.p4 += int64(fc.sin)
-		}
-		p.acc.SetD(next)
-		if pos+1 >= p.w*p.h {
-			p.running.SetD(false)
-			p.pos.SetD(0)
-		} else {
-			p.pos.SetD(pos + 1)
-		}
-	} else {
-		p.s1.SetD(s1Regs{})
+	d.s1.valid = q.running
+	if !q.running {
+		return
 	}
+	x, y := q.x, q.y
+	fc, a := &q.frame, q.acc
+	if x == 0 && y == 0 {
+		sin, cos := p.lut.SinIdx(q.thetaIdx), p.lut.CosIdx(q.thetaIdx)
+		d.frame = frameCtl{
+			sin: sin, cos: cos,
+			tx: q.tx, ty: q.ty,
+			rowP3: int64(-cx) * int64(cos),
+			rowP4: int64(-cx) * int64(sin),
+		}
+		fc = &d.frame
+		a = stepAcc{
+			p3: fc.rowP3,
+			p4: fc.rowP4,
+			q2: int64(-cy) * int64(-sin),
+			q5: int64(-cy) * int64(cos),
+		}
+	}
+	s1 := &d.s1
+	s1.x, s1.y = x, y
+	s1.p2, s1.p3, s1.p4, s1.p5 = a.q2, a.p3, a.p4, a.q5
+	s1.tx, s1.ty = fc.tx, fc.ty
+	if x+1 < p.w {
+		a.p3 += int64(fc.cos)
+		a.p4 += int64(fc.sin)
+		d.x = x + 1
+	} else {
+		a.p3, a.p4 = fc.rowP3, fc.rowP4
+		a.q2 -= int64(fc.sin)
+		a.q5 += int64(fc.cos)
+		d.x, d.y = 0, y+1
+		if y+1 == p.h {
+			d.running, d.y = false, 0
+		}
+	}
+	d.acc = a
 }

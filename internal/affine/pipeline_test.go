@@ -124,11 +124,11 @@ func TestPipelineControlLatching(t *testing.T) {
 	sim, p, _ := buildPipeline(src)
 	p.SetControl(256, 1, 2)
 	// Before a tick the control registers still read old values.
-	if p.thetaIdx.Q() != 0 {
+	if p.q.thetaIdx != 0 {
 		t.Fatal("control visible before clock edge")
 	}
 	sim.Tick()
-	if p.thetaIdx.Q() != 256 || p.tx.Q() != 1 || p.ty.Q() != 2 {
+	if p.q.thetaIdx != 256 || p.q.tx != 1 || p.q.ty != 2 {
 		t.Fatal("control not latched at edge")
 	}
 }

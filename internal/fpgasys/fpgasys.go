@@ -94,8 +94,8 @@ func New(cfg Config) (*System, error) {
 		VideoIn: vin, Display: disp, Pipeline: pipe,
 		dmuUART: dmu, accUART: acc,
 	}
-	s.dmuLine = &lineFeeder{uart: dmu, baud: cfg.DMUBaud}
-	s.accLine = &lineFeeder{uart: acc, baud: cfg.ACCBaud}
+	s.dmuLine = newLineFeeder(dmu, cfg.DMUBaud)
+	s.accLine = newLineFeeder(acc, cfg.ACCBaud)
 	s.cpuStep = &cpuStepper{cpu: cpu}
 	s.frames = &frameController{sys: s}
 	sim.Add(s.dmuLine)
@@ -145,12 +145,17 @@ func (s *System) OutputFrames() uint64 { return s.Pipeline.FramesDone() }
 func (s *System) CPUInstructions() uint64 { return s.CPU.Instret }
 
 // lineFeeder delivers queued bytes to a CPU UART at line rate: one byte
-// every 10 bit-times (8N1 framing).
+// every 10 bit-times (8N1 framing). A byte queued on an idle line still
+// takes a full byte-time to arrive.
 type lineFeeder struct {
-	uart    *sabre.UART
-	baud    float64
-	pending []byte
-	elapsed uint64 // cycles since the last byte completed
+	uart       *sabre.UART
+	byteCycles uint64
+	pending    []byte
+	elapsed    uint64 // cycles the byte on the wire has been sending
+}
+
+func newLineFeeder(uart *sabre.UART, baud float64) *lineFeeder {
+	return &lineFeeder{uart: uart, byteCycles: max(uint64(10/baud*ClockHz), 1)}
 }
 
 func (l *lineFeeder) queue(data []byte) {
@@ -159,15 +164,11 @@ func (l *lineFeeder) queue(data []byte) {
 
 // Eval advances one clock of line time.
 func (l *lineFeeder) Eval() {
-	l.elapsed++
 	if len(l.pending) == 0 {
 		return
 	}
-	byteCycles := uint64(10 / l.baud * ClockHz)
-	if byteCycles == 0 {
-		byteCycles = 1
-	}
-	if l.elapsed >= byteCycles {
+	l.elapsed++
+	if l.elapsed >= l.byteCycles {
 		l.uart.Feed(l.pending[:1])
 		l.pending = l.pending[1:]
 		l.elapsed = 0

@@ -164,6 +164,40 @@ func TestContinuousFrameRate(t *testing.T) {
 	}
 }
 
+func TestIdleLineWaitsAFullByteTime(t *testing.T) {
+	s, err := New(testConfig(16, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Leave the line idle for far longer than one byte-time, then send:
+	// the byte still needs its 10 bit-times on the wire.
+	if err := s.Run(100000); err != nil {
+		t.Fatal(err)
+	}
+	baud := 57600.0
+	byteTime := int(10 / baud * ClockHz)
+	s.SendACC([]byte{0xAA, 0x55})
+	if err := s.Run(byteTime - 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s.accLine.pending); got != 2 {
+		t.Fatalf("%d of 2 bytes left after %d idle cycles, want 2", got, byteTime-1)
+	}
+	if err := s.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s.accLine.pending); got != 1 {
+		t.Fatalf("%d of 2 bytes left after one byte-time, want 1", got)
+	}
+	// The second byte follows back to back, one byte-time later.
+	if err := s.Run(byteTime); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s.accLine.pending); got != 0 {
+		t.Fatalf("%d of 2 bytes left after two byte-times, want 0", got)
+	}
+}
+
 func TestDMUPacketThroughSystem(t *testing.T) {
 	s, err := New(testConfig(16, 16))
 	if err != nil {
@@ -190,6 +224,31 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestSystemRunAllocFree pins the steady state of the co-simulation to
+// zero allocations: a solution deposited, the serial bytes parsed and
+// corrected frames flowing through both banks.
+func TestSystemRunAllocFree(t *testing.T) {
+	s := epochSystem(t)
+	if err := s.Run(epochCycles / 4); err != nil {
+		t.Fatal(err)
+	}
+	frames := s.OutputFrames()
+	if frames == 0 {
+		t.Fatal("no corrected frame before the steady state")
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := s.Run(10000); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if s.OutputFrames() == frames {
+		t.Fatal("frames stopped flowing")
+	}
+	if allocs != 0 {
+		t.Fatalf("System.Run allocates %.1f times per 10k cycles, want 0", allocs)
+	}
+}
+
 func BenchmarkSystemCycle(b *testing.B) {
 	s, err := New(testConfig(32, 24))
 	if err != nil {
@@ -202,4 +261,18 @@ func BenchmarkSystemCycle(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSystemEpoch runs one 250k-cycle epoch of the whole chip per
+// op — the end-to-end benchmark's co-simulation shape, construction
+// included — and reports simulated Mcycle/s.
+func BenchmarkSystemEpoch(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := epochSystem(b)
+		if err := s.Run(epochCycles); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)*float64(epochCycles)/b.Elapsed().Seconds()/1e6, "Mcycle/s")
 }

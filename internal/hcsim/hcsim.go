@@ -6,10 +6,14 @@
 // Two abstractions cover the two kinds of Handel-C code:
 //
 //   - Component — clocked datapath. Each clock, every component's Eval
-//     computes next-state from current register outputs, then all
-//     registers Commit simultaneously (two-phase simulation, so
-//     evaluation order never matters). Registers created with NewReg
-//     auto-register with the simulator for commit.
+//     computes next state from current register outputs, then every
+//     commit hook latches at the clock edge (two-phase simulation, so
+//     evaluation order never matters). A component keeps its registers
+//     in one bank, a pair of structs q and d: Eval reads q and writes d,
+//     and one hook registered with AddCommitHook latches the bank with
+//     q = d. A register nobody writes in a cycle holds its value,
+//     because d persists; when two writers hit one register in a cycle
+//     the later write wins, as in Handel-C.
 //
 //   - Proc — control flow. Handel-C assignments take exactly one clock
 //     cycle; par{} branches advance in lockstep; seq{} sequences. Do,
@@ -22,9 +26,6 @@ package hcsim
 
 import "fmt"
 
-// committer is anything with clocked state to latch at the cycle edge.
-type committer interface{ commit() }
-
 // Component is clocked hardware: Eval computes next state from current
 // (pre-edge) register values each cycle.
 type Component interface{ Eval() }
@@ -32,7 +33,7 @@ type Component interface{ Eval() }
 // Sim is a single-clock-domain simulator.
 type Sim struct {
 	comps []Component
-	regs  []committer
+	hooks []func()
 	cycle uint64
 }
 
@@ -46,13 +47,13 @@ func (s *Sim) Cycle() uint64 { return s.cycle }
 func (s *Sim) Add(c Component) { s.comps = append(s.comps, c) }
 
 // Tick advances one clock: all components evaluate against current
-// register outputs, then all registers latch.
+// register outputs, then every commit hook latches.
 func (s *Sim) Tick() {
 	for _, c := range s.comps {
 		c.Eval()
 	}
-	for _, r := range s.regs {
-		r.commit()
+	for _, h := range s.hooks {
+		h()
 	}
 	s.cycle++
 }
@@ -70,13 +71,7 @@ func (s *Sim) Run(n int) {
 func (s *Sim) RunProc(p Proc, maxCycles int) (cycles int, done bool) {
 	for i := 0; i < maxCycles; i++ {
 		finished := p.step()
-		for _, c := range s.comps {
-			c.Eval()
-		}
-		for _, r := range s.regs {
-			r.commit()
-		}
-		s.cycle++
+		s.Tick()
 		if finished {
 			return i + 1, true
 		}
@@ -84,39 +79,11 @@ func (s *Sim) RunProc(p Proc, maxCycles int) (cycles int, done bool) {
 	return maxCycles, false
 }
 
-// Reg is a clocked register: reads (Q) see the value latched at the last
-// clock edge; writes (SetD) take effect at the next edge. NewReg
-// registers it with the simulator.
-type Reg[T any] struct {
-	q, d T
-}
-
-// NewReg creates a register initialised to init and registers it for
-// commit with s.
-func NewReg[T any](s *Sim, init T) *Reg[T] {
-	r := &Reg[T]{q: init, d: init}
-	s.regs = append(s.regs, r)
-	return r
-}
-
-// Q returns the current (latched) value.
-func (r *Reg[T]) Q() T { return r.q }
-
-// SetD schedules v to be latched at the next clock edge.
-func (r *Reg[T]) SetD(v T) { r.d = v }
-
-func (r *Reg[T]) commit() { r.q = r.d }
-
-// commitHook adapts a function to the committer interface.
-type commitHook func()
-
-func (f commitHook) commit() { f() }
-
-// AddCommitHook registers fn to run at every clock edge alongside
-// register commits — for components with bulk state such as memories,
-// whose writes must land synchronously.
+// AddCommitHook registers fn to run at every clock edge, after every
+// component has evaluated: the latch of a component's register bank,
+// and of bulk state such as memories whose writes land synchronously.
 func AddCommitHook(s *Sim, fn func()) {
-	s.regs = append(s.regs, commitHook(fn))
+	s.hooks = append(s.hooks, fn)
 }
 
 // Proc is a resumable control-flow process; step advances one clock

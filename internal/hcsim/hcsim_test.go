@@ -113,9 +113,9 @@ func TestDelayNegativePanics(t *testing.T) {
 
 func TestWaitUntil(t *testing.T) {
 	s := NewSim()
-	counter := NewReg(s, 0)
-	s.Add(evalFunc(func() { counter.SetD(counter.Q() + 1) }))
-	p := WaitUntil(func() bool { return counter.Q() >= 5 })
+	counter := newChain(s)
+	s.Add(evalFunc(func() { counter.d.a = counter.q.a + 1 }))
+	p := WaitUntil(func() bool { return counter.q.a >= 5 })
 	cycles, done := s.RunProc(p, 100)
 	if !done {
 		t.Fatal("WaitUntil never finished")
@@ -129,22 +129,33 @@ type evalFunc func()
 
 func (f evalFunc) Eval() { f() }
 
+// chain is a two-register bank latched by one commit hook: Eval reads q
+// and writes d, the edge copies d to q.
+type chain struct {
+	q, d struct{ a, b int }
+}
+
+func newChain(s *Sim) *chain {
+	c := &chain{}
+	AddCommitHook(s, func() { c.q = c.d })
+	return c
+}
+
 func TestRegisterTwoPhase(t *testing.T) {
 	// A register chain a -> b must delay by exactly one cycle per stage
 	// regardless of evaluation order.
 	s := NewSim()
-	a := NewReg(s, 0)
-	b := NewReg(s, 0)
+	c := newChain(s)
 	// b samples a; a increments. Added in "wrong" order on purpose.
-	s.Add(evalFunc(func() { b.SetD(a.Q()) }))
-	s.Add(evalFunc(func() { a.SetD(a.Q() + 1) }))
+	s.Add(evalFunc(func() { c.d.b = c.q.a }))
+	s.Add(evalFunc(func() { c.d.a = c.q.a + 1 }))
 	s.Tick() // a: 0->1, b latches old a = 0
-	if a.Q() != 1 || b.Q() != 0 {
-		t.Fatalf("after tick 1: a=%d b=%d", a.Q(), b.Q())
+	if c.q.a != 1 || c.q.b != 0 {
+		t.Fatalf("after tick 1: a=%d b=%d", c.q.a, c.q.b)
 	}
 	s.Tick()
-	if a.Q() != 2 || b.Q() != 1 {
-		t.Fatalf("after tick 2: a=%d b=%d", a.Q(), b.Q())
+	if c.q.a != 2 || c.q.b != 1 {
+		t.Fatalf("after tick 2: a=%d b=%d", c.q.a, c.q.b)
 	}
 }
 
@@ -153,10 +164,9 @@ func TestRegEvalOrderIndependence(t *testing.T) {
 	// same trace.
 	build := func(reverse bool) (func() (int, int), *Sim) {
 		s := NewSim()
-		a := NewReg(s, 0)
-		b := NewReg(s, 0)
-		inc := evalFunc(func() { a.SetD(a.Q() + 1) })
-		cp := evalFunc(func() { b.SetD(a.Q()) })
+		c := newChain(s)
+		inc := evalFunc(func() { c.d.a = c.q.a + 1 })
+		cp := evalFunc(func() { c.d.b = c.q.a })
 		if reverse {
 			s.Add(cp)
 			s.Add(inc)
@@ -164,7 +174,7 @@ func TestRegEvalOrderIndependence(t *testing.T) {
 			s.Add(inc)
 			s.Add(cp)
 		}
-		return func() (int, int) { return a.Q(), b.Q() }, s
+		return func() (int, int) { return c.q.a, c.q.b }, s
 	}
 	read1, s1 := build(false)
 	read2, s2 := build(true)
@@ -222,14 +232,12 @@ func TestNestedParSeq(t *testing.T) {
 
 func BenchmarkTickPipeline(b *testing.B) {
 	s := NewSim()
-	regs := make([]*Reg[int], 5)
-	for i := range regs {
-		regs[i] = NewReg(s, 0)
-	}
+	var q, d [5]int
+	AddCommitHook(s, func() { q = d })
 	s.Add(evalFunc(func() {
-		regs[0].SetD(regs[0].Q() + 1)
-		for i := 1; i < len(regs); i++ {
-			regs[i].SetD(regs[i-1].Q())
+		d[0] = q[0] + 1
+		for i := 1; i < len(d); i++ {
+			d[i] = q[i-1]
 		}
 	}))
 	b.ReportAllocs()

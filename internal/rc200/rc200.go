@@ -25,34 +25,33 @@ const SRAMWords = 512 * 1024
 // penalty — the property the paper's double-buffered video path relies
 // on.
 type SRAM struct {
-	words  []uint32
-	rdAddr *hcsim.Reg[int]
-	pendW  bool
-	pendWA int
-	pendWD uint32
-	reads  uint64
-	writes uint64
+	words []uint32
+	// Read-address register: rdQ was latched at the last clock edge,
+	// rdD is the address presented this cycle.
+	rdQ, rdD int
+	pendW    bool
+	pendWA   int
+	pendWD   uint32
+	reads    uint64
+	writes   uint64
 }
 
 // NewSRAM creates a bank attached to the simulator's clock.
 func NewSRAM(s *hcsim.Sim) *SRAM {
-	m := &SRAM{
-		words:  make([]uint32, SRAMWords),
-		rdAddr: hcsim.NewReg(s, 0),
-	}
-	hcsim.AddCommitHook(s, m.commitWrite)
+	m := &SRAM{words: make([]uint32, SRAMWords)}
+	hcsim.AddCommitHook(s, m.commit)
 	return m
 }
 
 // RequestRead presents addr on the read port this cycle; Data returns
 // the word next cycle.
 func (m *SRAM) RequestRead(addr int) {
-	m.rdAddr.SetD(addr & (SRAMWords - 1))
+	m.rdD = addr & (SRAMWords - 1)
 	m.reads++
 }
 
 // Data returns the word addressed on the previous cycle.
-func (m *SRAM) Data() uint32 { return m.words[m.rdAddr.Q()] }
+func (m *SRAM) Data() uint32 { return m.words[m.rdQ] }
 
 // Write schedules a word write that lands at this cycle's clock edge.
 func (m *SRAM) Write(addr int, v uint32) {
@@ -62,7 +61,10 @@ func (m *SRAM) Write(addr int, v uint32) {
 	m.writes++
 }
 
-func (m *SRAM) commitWrite() {
+// commit latches the read address and lands a pending write at the
+// clock edge.
+func (m *SRAM) commit() {
+	m.rdQ = m.rdD
 	if m.pendW {
 		m.words[m.pendWA] = m.pendWD
 		m.pendW = false
